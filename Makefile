@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve bench-engines benchstat bench-smoke bench-load serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
+.PHONY: check ci lint vet build test race coverage bench bench-index bench-serve benchstat bench-smoke bench-load serve-smoke chaos-smoke mutation-smoke fuzz-gio fuzz-snap fuzz-edits
 
 check: lint build test race
 
@@ -53,15 +53,6 @@ bench-index:
 # per-request Index construction on warm repeated patterns.
 bench-serve:
 	$(GO) test -bench=BenchmarkServeLoad -run '^$$' -benchtime 200x .
-
-# The execution-substrate ablation: work-stealing pool vs semaphore
-# engine on synthetic balanced/skewed band loads (CPU- and latency-
-# bound), plus the decide-hit/decide-miss cancellation matrix on a grid
-# target. GOMAXPROCS=4 exercises the parallel paths even on small CI
-# boxes; BENCH_4.json records a snapshot with interpretation notes.
-bench-engines:
-	GOMAXPROCS=4 $(GO) test -bench 'EngineAblation|DecideCancellation' -run '^$$' -benchtime 3x ./internal/par ./internal/core
-	$(GO) test -bench EngineLatencyLoad -run '^$$' -benchtime 5x ./internal/par
 
 # Boot the planarsid daemon, fire a scripted curl burst, check answers.
 serve-smoke:

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sort"
 	"testing"
@@ -146,20 +147,47 @@ func sameOccurrences(a, b []Occurrence) bool {
 	return true
 }
 
-// TestBandCancelAblationToggle: clearing the ablation gate must not
-// change answers, only how much sibling work a decide-hit performs.
-func TestBandCancelAblationToggle(t *testing.T) {
-	rng := rand.New(rand.NewPCG(23, 29))
-	g := graph.RandomPlanar(300, 0.7, rng)
-	h := graph.Cycle(3)
-	want, err := Decide(g, h, Options{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+// TestWitnessIndependentOfParallelism: find and separating witnesses
+// come from the lowest (run, band) with a hit, so they are identical at
+// every worker count — though a hit still fells the bands above it.
+func TestWitnessIndependentOfParallelism(t *testing.T) {
+	defer par.SetParallelism(0)
+	rng := rand.New(rand.NewPCG(41, 43))
+	g := graph.RandomPlanar(400, 0.7, rng)
+
+	rim := 8
+	b := graph.NewBuilder(rim + 2)
+	for i := 0; i < rim; i++ {
+		b.AddEdge(int32(i), int32((i+1)%rim))
+		b.AddEdge(int32(i), int32(rim))
+		b.AddEdge(int32(i), int32(rim+1))
 	}
-	bandCancelEnabled.Store(false)
-	defer bandCancelEnabled.Store(true)
-	got, err := Decide(g, h, Options{Seed: 5})
-	if err != nil || got != want {
-		t.Fatalf("ablation toggle changed the answer: got=%v err=%v want=%v", got, err, want)
+	wheels := b.Build()
+	s := make([]bool, wheels.N())
+	s[rim], s[rim+1] = true, true
+
+	var refFind, refSep Occurrence
+	for _, procs := range []int{1, 2, 4} {
+		par.SetParallelism(procs)
+		for rep := 0; rep < 3; rep++ {
+			occ, err := FindOne(g, graph.Cycle(4), Options{Seed: 9})
+			if err != nil || occ == nil {
+				t.Fatalf("P=%d: FindOne = %v, %v", procs, occ, err)
+			}
+			sep, err := DecideSeparating(wheels, graph.Cycle(rim), s, Options{Seed: 9})
+			if err != nil || sep == nil {
+				t.Fatalf("P=%d: DecideSeparating = %v, %v", procs, sep, err)
+			}
+			if refFind == nil {
+				refFind, refSep = occ, sep
+				continue
+			}
+			if fmt.Sprint(occ) != fmt.Sprint(refFind) {
+				t.Fatalf("P=%d: find witness %v, want %v (P=1)", procs, occ, refFind)
+			}
+			if fmt.Sprint(sep) != fmt.Sprint(refSep) {
+				t.Fatalf("P=%d: separating witness %v, want %v (P=1)", procs, sep, refSep)
+			}
+		}
 	}
 }

@@ -312,12 +312,10 @@ func preparedHasOccurrence(pc *PreparedCover, h *graph.Graph, run int, opt Optio
 		injectBandFaults()
 		pb := &bands[i]
 		t0 := inner.Trace.Begin()
-		// The found.Load() check is the pre-pool band-granularity early
-		// exit (skip bands not yet started once the answer is known); it
-		// stays unconditional so the bandCancelEnabled ablation gate
-		// isolates exactly the *mid-flight* cancellation on top of it.
-		// pb.Band is nil when a cancelled prepare skipped the band; the
-		// token is observed fired before any such band is reached.
+		// The found.Load() check skips bands not yet started once the
+		// answer is known; the token fells DPs already running. pb.Band
+		// is nil when a cancelled prepare skipped the band; the token is
+		// observed fired before any such band is reached.
 		if found.Load() || local.Cancelled() || pb.Band == nil || pb.Band.G.N() < h.N() {
 			inner.Trace.Span("band", run, i, t0, "skipped")
 			return
@@ -335,7 +333,7 @@ func preparedHasOccurrence(pc *PreparedCover, h *graph.Graph, run int, opt Optio
 			}
 			if naive.Decide(pb.Band.G, h) {
 				found.Store(true)
-				cancelSiblings(local)
+				local.Cancel()
 				inner.Trace.Span("band", run, i, t0, "fallback:found")
 			} else {
 				inner.Trace.Span("band", run, i, t0, "fallback:miss")
@@ -355,7 +353,7 @@ func preparedHasOccurrence(pc *PreparedCover, h *graph.Graph, run int, opt Optio
 		}
 		if eng.Found() {
 			found.Store(true)
-			cancelSiblings(local)
+			local.Cancel()
 			inner.Trace.SpanCost("band", run, i, t0, "found", bandCost)
 		} else {
 			inner.Trace.SpanCost("band", run, i, t0, "miss", bandCost)
@@ -376,19 +374,6 @@ func preparedHasOccurrence(pc *PreparedCover, h *graph.Graph, run int, opt Optio
 func injectBandFaults() {
 	fault.Sleep(fault.BandLatency)
 	fault.Check(fault.DPPanic)
-}
-
-// bandCancelEnabled gates the first-hit sibling cancellation. It exists
-// only for the engine ablation benchmark (decide-hit latency with and
-// without mid-band cancellation); production code never clears it.
-var bandCancelEnabled atomic.Bool
-
-func init() { bandCancelEnabled.Store(true) }
-
-func cancelSiblings(local *par.Canceller) {
-	if bandCancelEnabled.Load() {
-		local.Cancel()
-	}
 }
 
 // solvePrepared runs the selected engine on a prepared band, keeping the

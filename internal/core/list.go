@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"planarsi/internal/graph"
 	"planarsi/internal/match"
@@ -238,23 +238,22 @@ func touchesLowest(lowest []bool, a match.Assignment) bool {
 	return false
 }
 
-// findInPrepared returns one occurrence from any band of the prepared
-// cover (original ids), or nil. The first band to store a hit cancels
-// its siblings mid-DP through a band-local child token (the answer is a
-// single witness; completing the other bands is pure waste).
+// findInPrepared returns the occurrence of the lowest-index band of the
+// prepared cover that has one (original ids), or nil. The witness does
+// not depend on the schedule: a hit in band i fells the bands above it
+// mid-DP (they can no longer hold the witness), while the bands below
+// run on.
 func findInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) Occurrence {
 	bands := pc.Bands
-	bandCancel := par.NewChild(opt.Cancel)
-	inner := opt
-	inner.Cancel = bandCancel
-	var mu sync.Mutex
-	var hit Occurrence
+	hits := newBandHits(len(bands), opt.Cancel)
 	par.ForGrain(0, len(bands), 1, func(i int) {
 		injectBandFaults()
 		pb := &bands[i]
 		b := pb.Band
+		inner := opt
+		inner.Cancel = hits.tokens[i]
 		t0 := inner.Trace.Begin()
-		if bandCancel.Cancelled() || b == nil || b.G.N() < h.N() {
+		if inner.Cancel.Cancelled() || b == nil || b.G.N() < h.N() {
 			inner.Trace.Span("band", run, i, t0, "skipped")
 			return
 		}
@@ -263,7 +262,7 @@ func findInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) Occ
 		if eng, ok := solvePrepared(pb, h, false, inner); ok {
 			cost = eng.Problem().Cost.Snapshot()
 			inner.addBandCost(cost)
-			if bandCancel.Cancelled() {
+			if inner.Cancel.Cancelled() {
 				inner.Trace.SpanCost("band", run, i, t0, "cancelled", cost)
 				return
 			}
@@ -282,12 +281,52 @@ func findInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) Occ
 		for u, lv := range local[0] {
 			occ[u] = b.Orig[lv]
 		}
-		mu.Lock()
-		if hit == nil {
-			hit = occ
-		}
-		mu.Unlock()
-		cancelSiblings(bandCancel)
+		hits.record(i, occ)
 	})
-	return hit
+	return hits.witness()
+}
+
+// bandHits collects the witnesses of one cover run's bands and keeps the
+// lowest-index one. Every band gets its own child of the query token; a
+// hit in band i fires the tokens of the bands above i.
+type bandHits struct {
+	tokens []*par.Canceller
+	occ    []Occurrence
+	lowest atomic.Int64 // lowest band with a hit; len(occ) while none has
+}
+
+func newBandHits(n int, parent *par.Canceller) *bandHits {
+	h := &bandHits{tokens: make([]*par.Canceller, n), occ: make([]Occurrence, n)}
+	for i := range h.tokens {
+		h.tokens[i] = par.NewChild(parent)
+	}
+	h.lowest.Store(int64(n))
+	return h
+}
+
+// record stores band i's witness and, if it is the lowest so far, fells
+// the bands between i and the previous lowest.
+func (h *bandHits) record(i int, occ Occurrence) {
+	h.occ[i] = occ
+	for {
+		lo := h.lowest.Load()
+		if int64(i) >= lo {
+			return
+		}
+		if h.lowest.CompareAndSwap(lo, int64(i)) {
+			for j := i + 1; j < int(lo); j++ {
+				h.tokens[j].Cancel()
+			}
+			return
+		}
+	}
+}
+
+// witness returns the lowest band's occurrence, or nil. Call it after
+// the band loop has joined.
+func (h *bandHits) witness() Occurrence {
+	if lo := int(h.lowest.Load()); lo < len(h.occ) {
+		return h.occ[lo]
+	}
+	return nil
 }

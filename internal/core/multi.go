@@ -145,7 +145,7 @@ func groupHasOccurrence(pc *PreparedCover, hs []*graph.Graph, found []bool, run 
 				}
 				if naive.Decide(pb.Band.G, hs[j]) {
 					hit[j].Store(true)
-					cancelSiblings(cancels[j])
+					cancels[j].Cancel()
 					nf++
 				}
 			}
@@ -169,7 +169,7 @@ func groupHasOccurrence(pc *PreparedCover, hs []*graph.Graph, found []bool, run 
 			}
 			if engs[idx].Found() {
 				hit[j].Store(true)
-				cancelSiblings(cancels[j])
+				cancels[j].Cancel()
 				nf++
 			}
 		}

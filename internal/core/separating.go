@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"planarsi/internal/cover"
 	"planarsi/internal/graph"
 	"planarsi/internal/match"
@@ -75,24 +73,22 @@ func DecideSeparatingFrom(src SeparatingSource, g, h *graph.Graph, s []bool, opt
 	return nil, nil
 }
 
-// findSeparatingInPrepared solves every separating band and returns one
-// witness occurrence in original vertex ids, or nil. As in
-// findInPrepared, the first witness cancels the sibling bands mid-DP,
-// and every band emits exactly one "band" span with its outcome and DP
-// cost.
+// findSeparatingInPrepared solves every separating band and returns the
+// witness of the lowest-index band that has one, in original vertex ids,
+// or nil. As in findInPrepared, a witness in band i fells the bands
+// above it mid-DP, and every band emits exactly one "band" span with its
+// outcome and DP cost.
 func findSeparatingInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Options) Occurrence {
 	bands := pc.Bands
-	bandCancel := par.NewChild(opt.Cancel)
-	inner := opt
-	inner.Cancel = bandCancel
-	var mu sync.Mutex
-	var hit Occurrence
+	hits := newBandHits(len(bands), opt.Cancel)
 	par.ForGrain(0, len(bands), 1, func(i int) {
 		injectBandFaults()
 		pb := &bands[i]
 		b := pb.Band
+		inner := opt
+		inner.Cancel = hits.tokens[i]
 		t0 := inner.Trace.Begin()
-		if bandCancel.Cancelled() || b == nil || b.G.N() < h.N() {
+		if inner.Cancel.Cancelled() || b == nil || b.G.N() < h.N() {
 			inner.Trace.Span("band", run, i, t0, "skipped")
 			return
 		}
@@ -101,7 +97,7 @@ func findSeparatingInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Op
 		if eng, ok := solvePrepared(pb, h, true, inner); ok {
 			cost = eng.Problem().Cost.Snapshot()
 			inner.addBandCost(cost)
-			if bandCancel.Cancelled() {
+			if inner.Cancel.Cancelled() {
 				inner.Trace.SpanCost("band", run, i, t0, "cancelled", cost)
 				return
 			}
@@ -120,14 +116,9 @@ func findSeparatingInPrepared(pc *PreparedCover, h *graph.Graph, run int, opt Op
 		for u, lv := range local {
 			occ[u] = b.Orig[lv]
 		}
-		mu.Lock()
-		if hit == nil {
-			hit = occ
-		}
-		mu.Unlock()
-		cancelSiblings(bandCancel)
+		hits.record(i, occ)
 	})
-	return hit
+	return hits.witness()
 }
 
 // separatingBrute is the exact fallback for bands whose decomposition

@@ -3,24 +3,14 @@
 // parallel prefix sums, packing, an explicit work-stealing pool, and a
 // lightweight cooperative cancellation token (Canceller).
 //
-// Two execution engines back the package-level functions (Do, For,
-// Reduce, ...).
+// The package-level functions (Do, For, Reduce, ...) run every operation
+// as a structured fork-join scope on one shared work-stealing Pool
+// (Chase-Lev deques — the greedy scheduler the paper's Brent-style
+// bounds assume). An idle worker steals half-ranges from whoever is
+// behind, so load stays balanced when item costs are skewed.
 //
-// The default engine (EnginePool) runs every operation as a structured
-// fork-join scope on a shared, lazily started work-stealing Pool
-// (Chase-Lev deques, help-while-joining — the greedy scheduler the
-// paper's Brent-style bounds assume). Scopes make nesting deadlock-free
-// and keep load balanced when item costs are skewed: an idle participant
-// steals half-ranges from whoever is behind, instead of the semaphore
-// engine's degrade-to-inline-sequential behavior.
-//
-// The semaphore engine (EngineSemaphore) is the previous substrate —
-// goroutines throttled by a semaphore sized to the worker count, with an
-// inline sequential fallback when no slot is free. It stays selectable
-// via SetEngine for the engine ablation benchmarks.
-//
-// Both engines draw their worker count from the same source: SetParallelism
-// when pinned, else runtime.GOMAXPROCS(0) re-read per operation.
+// The worker count is fixed at first use to runtime.GOMAXPROCS(0) and
+// changes afterwards only through SetParallelism.
 package par
 
 import (
@@ -29,141 +19,76 @@ import (
 	"sync/atomic"
 )
 
-// engine is one sizing of the package-level runtime: a worker count and
-// the semaphore of spare worker slots (the calling goroutine always works
-// too, so there are procs-1 spare slots). Engines are immutable; resizing
-// installs a fresh engine, and operations in flight keep the engine they
-// captured at entry, so every acquire is released on the same channel.
-type engine struct {
+// sizing is one setting of the package-level runtime: the worker count
+// and the shared pool serving it (nil when procs == 1, which runs every
+// operation inline). Sizings are immutable; SetParallelism installs a
+// fresh one, and operations in flight finish on the one they loaded.
+type sizing struct {
 	procs int
-	sem   chan struct{}
-	// pinned marks an engine installed by SetParallelism: current() stops
-	// tracking runtime.GOMAXPROCS until SetParallelism(0) unpins.
-	pinned bool
+	pool  *Pool
 }
 
-var eng atomic.Pointer[engine]
-
-func init() { eng.Store(newEngine(runtime.GOMAXPROCS(0), false)) }
-
-func newEngine(procs int, pinned bool) *engine {
-	if procs < 1 {
-		procs = 1
-	}
-	return &engine{procs: procs, sem: make(chan struct{}, procs-1), pinned: pinned}
-}
-
-// current returns the engine sizing to use for one operation, first
-// re-reading runtime.GOMAXPROCS(0) so daemons that resize the scheduler
-// at runtime get the parallelism they asked for. The GOMAXPROCS query
-// takes a runtime-internal lock, so current() is called once per parallel
-// operation (a loop launch, not a loop element) and the helpers thread
-// the engine through; pinning with SetParallelism skips the query
-// entirely. The CAS race on resize is benign (both candidates are
-// correctly sized).
-func current() *engine {
-	e := eng.Load()
-	if e.pinned {
-		return e
-	}
-	if p := runtime.GOMAXPROCS(0); p != e.procs {
-		ne := newEngine(p, false)
-		if eng.CompareAndSwap(e, ne) {
-			return ne
-		}
-		return eng.Load()
-	}
-	return e
-}
-
-// Parallelism reports the number of workers the package-level engines use:
-// the value fixed by SetParallelism, or runtime.GOMAXPROCS(0) (re-read on
-// every operation, not frozen at package init).
-func Parallelism() int { return current().procs }
-
-// SetParallelism fixes the package-level worker count to n, decoupling it
-// from runtime.GOMAXPROCS; n <= 0 reverts to tracking
-// runtime.GOMAXPROCS(0). Operations already in flight finish on the
-// engine they started with; the shared pool is re-sized lazily by the
-// next operation.
-func SetParallelism(n int) {
-	if n <= 0 {
-		eng.Store(newEngine(runtime.GOMAXPROCS(0), false))
-	} else {
-		eng.Store(newEngine(n, true))
-	}
-	if eng.Load().procs == 1 {
-		// Downsized to sequential: retire the pool now rather than
-		// waiting for the next operation's dispatch to do it.
-		retireSharedPool()
-	}
-}
-
-// EngineKind selects the package-level execution engine.
-type EngineKind uint32
-
-const (
-	// EnginePool runs operations as fork-join scopes on the shared
-	// work-stealing pool (the default).
-	EnginePool EngineKind = iota
-	// EngineSemaphore runs operations on semaphore-throttled goroutines
-	// with inline sequential fallback (the pre-pool substrate, kept
-	// selectable for the ablation benchmarks).
-	EngineSemaphore
+var (
+	cur   atomic.Pointer[sizing]
+	curMu sync.Mutex // serializes installs
 )
 
-var engineKind atomic.Uint32 // EnginePool by default
+// current returns the sizing to use for one operation, installing the
+// first-use default (GOMAXPROCS) if nothing has been installed yet.
+func current() *sizing {
+	if s := cur.Load(); s != nil {
+		return s
+	}
+	curMu.Lock()
+	defer curMu.Unlock()
+	if cur.Load() == nil {
+		install(runtime.GOMAXPROCS(0))
+	}
+	return cur.Load()
+}
 
-// CurrentEngine reports which engine the package-level functions use.
-func CurrentEngine() EngineKind { return EngineKind(engineKind.Load()) }
-
-// SetEngine selects the package-level execution engine. Operations in
-// flight finish on the engine they started with.
-func SetEngine(k EngineKind) { engineKind.Store(uint32(k)) }
-
-// sharedPool is the lazily started pool behind the EnginePool package
-// functions, swapped whenever the requested worker count changes.
-var sharedPool atomic.Pointer[Pool]
-
-// poolFor returns a shared pool with the given parallelism, starting or
-// resizing it as needed. A replaced pool is retired asynchronously: its
+// install replaces the sizing with one of procs workers, starting a pool
+// when procs > 1. The replaced pool is retired asynchronously: its
 // workers drain their remaining tasks and exit, while scopes still
-// registered on it keep making progress on their own goroutines.
-func poolFor(procs int) *Pool {
-	for {
-		p := sharedPool.Load()
-		if p != nil && p.procs == procs {
-			return p
-		}
-		np := NewPool(procs)
-		if sharedPool.CompareAndSwap(p, np) {
-			poolResizes.Add(1)
-			if p != nil {
-				go p.Close()
-			}
-			return np
-		}
-		go np.Close() // lost the race; another resize installed a pool
+// registered on it finish on their own goroutines. Caller holds curMu.
+func install(procs int) {
+	old := cur.Load()
+	if old != nil && old.procs == procs {
+		return
+	}
+	s := &sizing{procs: procs}
+	if procs > 1 {
+		s.pool = NewPool(procs)
+		poolResizes.Add(1)
+	}
+	cur.Store(s)
+	if old != nil && old.pool != nil {
+		go old.pool.Close()
 	}
 }
 
-// retireSharedPool closes and clears the shared pool. The procs==1
-// dispatch paths call it so downsizing to a sequential configuration
-// (SetParallelism(1) or runtime.GOMAXPROCS(1)) does not strand the
-// previous pool's parked workers for the process lifetime; the next
-// parallel operation lazily starts a fresh pool.
-func retireSharedPool() {
-	if p := sharedPool.Load(); p != nil && sharedPool.CompareAndSwap(p, nil) {
-		go p.Close()
+// Parallelism reports the number of workers the package-level functions
+// use.
+func Parallelism() int { return current().procs }
+
+// SetParallelism sets the package-level worker count to n; n <= 0 means
+// runtime.GOMAXPROCS(0) as of this call. Operations already in flight
+// finish on the pool they started with.
+func SetParallelism(n int) {
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
+	curMu.Lock()
+	defer curMu.Unlock()
+	install(n)
 }
 
-// runBlocks is the engine dispatch shared by every block-structured
+// runBlocks is the dispatch shared by every block-structured
 // combinator: split [lo, hi) into blocks of at most grain indices and run
 // body on each, possibly in parallel, with logarithmic fork depth
 // (matching the PRAM convention that a parallel-for costs O(log n) depth
 // to fork).
-func runBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
+func runBlocks(s *sizing, lo, hi, grain int, body func(lo, hi int)) {
 	if lo >= hi {
 		return
 	}
@@ -171,26 +96,19 @@ func runBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
 		grain = 1
 	}
 	if hi-lo <= grain {
-		// A single block: run inline without touching either engine's
-		// machinery.
+		// A single block: run inline without touching the pool.
 		body(lo, hi)
 		return
 	}
-	if e.procs == 1 {
-		// Sequential fallback, still honoring the ≤ grain block contract.
-		retireSharedPool()
+	if s.pool == nil {
+		// Sequential, still honoring the ≤ grain block contract.
 		for l := lo; l < hi; l += grain {
 			body(l, min(l+grain, hi))
 		}
 		return
 	}
-	if CurrentEngine() == EngineSemaphore {
-		semBlocks(e, lo, hi, grain, body)
-		return
-	}
-	p := poolFor(e.procs)
-	c := p.enter()
-	defer p.exit(c)
+	c := s.pool.enter()
+	defer s.pool.exit(c)
 	c.ForBlocks(lo, hi, grain, body)
 }
 
@@ -205,61 +123,20 @@ func Do(fs ...func()) {
 		fs[0]()
 		return
 	}
-	e := current()
-	if e.procs == 1 {
-		retireSharedPool()
+	s := current()
+	if s.pool == nil {
 		for _, f := range fs {
 			f()
 		}
 		return
 	}
-	if CurrentEngine() == EngineSemaphore {
-		semDo(e, fs)
-		return
-	}
-	p := poolFor(e.procs)
-	c := p.enter()
-	defer p.exit(c)
+	c := s.pool.enter()
+	defer s.pool.exit(c)
 	tasks := make([]Task, len(fs))
 	for i, f := range fs {
-		f := f
 		tasks[i] = func(*Ctx) { f() }
 	}
 	c.Do(tasks...)
-}
-
-// semDo is Do on the semaphore engine. Panics on forked goroutines are
-// captured and re-panicked on the caller after every fork has finished;
-// an inline panic propagates directly, but the deferred Wait still
-// drains the forks first, so the group stays structured either way.
-func semDo(e *engine, fs []func()) {
-	var wg sync.WaitGroup
-	var first atomic.Pointer[PanicError]
-	func() {
-		defer wg.Wait()
-		for _, f := range fs[1:] {
-			select {
-			case e.sem <- struct{}{}:
-				wg.Add(1)
-				go func(f func()) {
-					defer func() {
-						if v := recover(); v != nil {
-							first.CompareAndSwap(nil, asPanicError(v))
-						}
-						<-e.sem
-						wg.Done()
-					}()
-					f()
-				}(f)
-			default:
-				f()
-			}
-		}
-		fs[0]()
-	}()
-	if pe := first.Load(); pe != nil {
-		panic(pe)
-	}
 }
 
 // For runs f(i) for every i in [lo, hi), possibly in parallel, with an
@@ -269,8 +146,8 @@ func For(lo, hi int, f func(i int)) {
 	if n <= 0 {
 		return
 	}
-	e := current()
-	runBlocks(e, lo, hi, grainFor(e, n), func(l, h int) {
+	s := current()
+	runBlocks(s, lo, hi, grainFor(s, n), func(l, h int) {
 		for i := l; i < h; i++ {
 			f(i)
 		}
@@ -293,55 +170,11 @@ func ForBlocks(lo, hi, grain int, body func(lo, hi int)) {
 	runBlocks(current(), lo, hi, grain, body)
 }
 
-// semBlocks is the semaphore engine's block runner: recursive halving,
-// forking the right half into a worker slot when one is free and
-// degrading to inline sequential execution otherwise. Panics on forked
-// goroutines are captured and re-panicked once at the operation root
-// after all forks have drained; inline panics propagate directly, with
-// the deferred Waits keeping every in-flight fork joined first.
-func semBlocks(e *engine, lo, hi, grain int, body func(lo, hi int)) {
-	var first atomic.Pointer[PanicError]
-	var run func(lo, hi int)
-	run = func(lo, hi int) {
-		for hi-lo > grain {
-			mid := lo + (hi-lo)/2
-			select {
-			case e.sem <- struct{}{}:
-				var wg sync.WaitGroup
-				wg.Add(1)
-				go func(l, h int) {
-					defer func() {
-						if v := recover(); v != nil {
-							first.CompareAndSwap(nil, asPanicError(v))
-						}
-						<-e.sem
-						wg.Done()
-					}()
-					run(l, h)
-				}(mid, hi)
-				defer wg.Wait()
-				run(lo, mid)
-				return
-			default:
-				run(lo, mid)
-				lo = mid
-			}
-		}
-		if lo < hi {
-			body(lo, hi)
-		}
-	}
-	run(lo, hi)
-	if pe := first.Load(); pe != nil {
-		panic(pe)
-	}
-}
-
 // alignedBlocks partitions [lo, hi) into ⌈n/grain⌉ consecutive blocks of
 // exactly grain indices (the last may be short) and runs body(b, l, h) for
 // each block b, possibly in parallel. Unlike ForBlocks, block boundaries
 // are aligned multiples of grain, so b indexes per-block scratch safely.
-func alignedBlocks(e *engine, lo, hi, grain int, body func(b, l, h int)) {
+func alignedBlocks(s *sizing, lo, hi, grain int, body func(b, l, h int)) {
 	n := hi - lo
 	if n <= 0 {
 		return
@@ -350,7 +183,7 @@ func alignedBlocks(e *engine, lo, hi, grain int, body func(b, l, h int)) {
 		grain = 1
 	}
 	nblocks := (n + grain - 1) / grain
-	runBlocks(e, 0, nblocks, 1, func(bl, bh int) {
+	runBlocks(s, 0, nblocks, 1, func(bl, bh int) {
 		for b := bl; b < bh; b++ {
 			l := lo + b*grain
 			h := l + grain
@@ -362,8 +195,8 @@ func alignedBlocks(e *engine, lo, hi, grain int, body func(b, l, h int)) {
 	})
 }
 
-func grainFor(e *engine, n int) int {
-	grain := n / (8 * e.procs)
+func grainFor(s *sizing, n int) int {
+	grain := n / (8 * s.procs)
 	if grain < 1 {
 		grain = 1
 	}
@@ -377,11 +210,11 @@ func Reduce[T any](lo, hi int, id T, f func(i int) T, comb func(a, b T) T) T {
 	if n <= 0 {
 		return id
 	}
-	e := current()
-	grain := grainFor(e, n)
+	s := current()
+	grain := grainFor(s, n)
 	nblocks := (n + grain - 1) / grain
 	partial := make([]T, nblocks)
-	alignedBlocks(e, lo, hi, grain, func(b, l, h int) {
+	alignedBlocks(s, lo, hi, grain, func(b, l, h int) {
 		acc := id
 		for i := l; i < h; i++ {
 			acc = comb(acc, f(i))
@@ -408,11 +241,11 @@ func ExclusivePrefixSum[T Integer](xs []T) T {
 	if n == 0 {
 		return 0
 	}
-	e := current()
-	grain := grainFor(e, n)
+	s := current()
+	grain := grainFor(s, n)
 	nblocks := (n + grain - 1) / grain
 	sums := make([]T, nblocks)
-	alignedBlocks(e, 0, n, grain, func(b, l, h int) {
+	alignedBlocks(s, 0, n, grain, func(b, l, h int) {
 		var s T
 		for i := l; i < h; i++ {
 			s += xs[i]
@@ -425,7 +258,7 @@ func ExclusivePrefixSum[T Integer](xs []T) T {
 		sums[b] = total
 		total += s
 	}
-	alignedBlocks(e, 0, n, grain, func(b, l, h int) {
+	alignedBlocks(s, 0, n, grain, func(b, l, h int) {
 		acc := sums[b]
 		for i := l; i < h; i++ {
 			v := xs[i]

@@ -9,22 +9,24 @@ import (
 
 // This file implements the work-stealing fork-join runtime in the style
 // of Cilk / Blumofe-Leiserson schedulers: every executing thread owns a
-// Chase-Lev deque, pushes forked tasks to its own bottom, pops LIFO, and
-// steals FIFO from the top of a random victim. A joining thread helps by
-// running tasks until the joined future completes, so joins never block
-// a thread.
+// Chase-Lev deque, pushes forked tasks to its own bottom, and idle
+// workers steal FIFO from the top of a random victim.
 //
 // Two kinds of threads own deques. Background *workers* ((procs-1) per
 // pool — the submitting goroutine always works too) live for the pool's
 // lifetime and do nothing but steal and execute. *Scopes* are transient:
 // every structured fork-join operation (a Pool.Run, or one package-level
-// Do/For/Reduce call on the pool engine) registers a deque for its
-// duration, forks into it, and helps until its own joins resolve. The
-// scope's owner never blocks — it pops its own deque, steals from every
-// registered deque, or runs an unclaimed future inline — which makes
-// arbitrary nesting deadlock-free: a nested operation on a worker
-// goroutine simply opens another scope whose tasks remain stealable by
-// everyone.
+// Do/For/Reduce call) registers a deque for its duration and forks into
+// it; a nested operation simply opens another scope whose tasks remain
+// stealable by the workers.
+//
+// Joins only wait. A joiner runs its own child inline if no one has
+// claimed it, and otherwise waits for the thief; it never runs an
+// unrelated task. Only workers steal, and a worker steals only once its
+// own deque is empty, so what a goroutine waits on is always below it in
+// the fork tree. That rules out the deadlock a helping join invites: a
+// joiner holding a lock (an Index memo's sync.Once, whose build runs par
+// loops) picking up a sibling task that blocks on the same lock.
 //
 // Brent's theorem is what connects this scheduler back to the paper's
 // bounds: a computation with work W and depth D executes in O(W/P + D)
@@ -117,10 +119,13 @@ func (d *deque) steal() *Task {
 // Future is the join handle returned by Ctx.Fork.
 type Future struct {
 	done atomic.Bool
-	// claimed marks the task as started (by owner pop, a thief, or the
-	// joiner running it inline) so it executes exactly once.
+	// claimed marks the task as started (by a thief or the joiner
+	// running it inline) so it executes exactly once.
 	claimed atomic.Bool
 	f       Task
+	// t is the deque entry for this future (bound to run), kept here so
+	// a join can recognise its own child at the bottom of the deque.
+	t Task
 	// panicked holds a panic recovered from the task body, written
 	// before done flips (so the done.Load in Join orders the read) and
 	// re-panicked at the join point on the joining goroutine.
@@ -196,8 +201,8 @@ func (p *Pool) Parallelism() int { return p.procs }
 
 // Close retires the pool: background workers exit once they run out of
 // tasks. Scopes still running keep making progress on their own
-// goroutines (the owner helps itself), so Close never strands work, but
-// new operations should use a fresh pool.
+// goroutines (a join runs an unstolen fork inline), so Close never
+// strands work, but new operations should use a fresh pool.
 func (p *Pool) Close() {
 	close(p.quit)
 	// Release any parked workers so they can observe quit.
@@ -278,8 +283,9 @@ func (p *Pool) exit(c *Ctx) {
 }
 
 // Run executes task on the pool as a fork-join scope and returns when it
-// (and everything it joined) has. The calling goroutine participates in
-// the work; nested Run calls (from inside pool tasks) are safe.
+// (and everything it joined) has. The calling goroutine runs the task
+// and every fork no worker stole; nested Run calls (from inside pool
+// tasks) are safe.
 func (p *Pool) Run(task Task) {
 	c := p.enter()
 	defer p.exit(c)
@@ -335,7 +341,9 @@ type Ctx struct {
 	rnd uint64
 }
 
-// findTask pops locally or steals from a random victim.
+// findTask pops locally or steals from a random victim. Workers only:
+// a worker's deque holds nothing between tasks except forks nobody
+// joined, so it steals from an empty stack.
 func (c *Ctx) findTask() *Task {
 	if t := c.dq.pop(); t != nil {
 		return t
@@ -366,15 +374,15 @@ func (c *Ctx) findTask() *Task {
 // Fork schedules f to run asynchronously and returns its join handle.
 func (c *Ctx) Fork(f Task) *Future {
 	fu := &Future{f: f}
-	t := Task(fu.run)
-	c.dq.push(&t)
+	fu.t = fu.run
+	c.dq.push(&fu.t)
 	c.p.signal()
 	return fu
 }
 
-// Join waits for fu, helping with other tasks while it is outstanding.
-// If the future's task panicked, Join re-panics the captured
-// *PanicError on the calling goroutine once the task has completed.
+// Join waits for fu, running it inline if no one has claimed it. If the
+// future's task panicked, Join re-panics the captured *PanicError on the
+// calling goroutine once the task has completed.
 func (c *Ctx) Join(fu *Future) {
 	c.joinNoPanic(fu)
 	if fu.panicked != nil {
@@ -386,23 +394,19 @@ func (c *Ctx) Join(fu *Future) {
 // uses it to finish joining every sibling before propagating the first
 // panic.
 func (c *Ctx) joinNoPanic(fu *Future) {
-	spins := 0
-	for !fu.done.Load() {
-		if t := c.findTask(); t != nil {
-			(*t)(c)
-			spins = 0
-			continue
+	if !fu.claimed.Load() {
+		// Joins run in reverse fork order, so an unclaimed fu sits at
+		// the bottom of our deque: take it off before running it inline.
+		// An out-of-order join pops a sibling instead; put that back.
+		if t := c.dq.pop(); t != nil && t != &fu.t {
+			c.dq.push(t)
 		}
-		// Nothing to help with. If the forked task has not started yet
-		// run it inline; otherwise a thief is mid-execution — yield, and
-		// once yielding has gone on for a while back off into short
-		// sleeps: on an oversubscribed machine a Gosched storm steals
-		// the very cycles the thief needs to finish.
 		fu.run(c)
-		if fu.done.Load() {
-			return
-		}
-		spins++
+	}
+	// A thief is mid-execution: yield, and once yielding has gone on
+	// for a while back off into short sleeps — on an oversubscribed
+	// machine a Gosched storm steals the very cycles the thief needs.
+	for spins := 0; !fu.done.Load(); spins++ {
 		if spins < 16 {
 			runtime.Gosched()
 		} else {

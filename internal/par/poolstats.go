@@ -3,10 +3,10 @@ package par
 import "sync/atomic"
 
 // Pool-wide event counters, package-level so the totals survive pool
-// replacements (poolFor retires and reinstalls the shared pool on a
-// parallelism change). The hooks sit off the fork fast path: a
-// successful steal already paid a CAS, a park is about to block, and a
-// resize rebuilds the pool — one atomic add each is noise there.
+// replacements (SetParallelism retires and reinstalls the shared pool).
+// The hooks sit off the fork fast path: a successful steal already paid
+// a CAS, a park is about to block, and a resize rebuilds the pool — one
+// atomic add each is noise there.
 var (
 	poolSteals  atomic.Int64
 	poolParks   atomic.Int64
@@ -23,11 +23,12 @@ type PoolStats struct {
 	// Parks counts worker park events: a background worker found no
 	// work anywhere and blocked until woken.
 	Parks int64
-	// Resizes counts shared-pool replacements (parallelism or
-	// GOMAXPROCS changes observed by poolFor).
+	// Resizes counts shared pools started: the first-use pool plus one
+	// per SetParallelism that changed the worker count to more than 1.
 	Resizes int64
-	// Workers is the live shared pool's participant count, 0 when no
-	// pool is installed (sequential configuration or semaphore engine).
+	// Workers is the live shared pool's participant count (Parallelism
+	// once the runtime is in use), 0 before first use and while the
+	// worker count is 1, which runs every operation inline.
 	Workers int
 	// Parked is how many of those workers are currently blocked waiting
 	// for work; Workers - Parked approximates the active worker count.
@@ -41,9 +42,9 @@ func ReadPoolStats() PoolStats {
 		Parks:   poolParks.Load(),
 		Resizes: poolResizes.Load(),
 	}
-	if p := sharedPool.Load(); p != nil {
-		st.Workers = p.procs
-		st.Parked = int(p.parked.Load())
+	if s := cur.Load(); s != nil && s.pool != nil {
+		st.Workers = s.pool.procs
+		st.Parked = int(s.pool.parked.Load())
 	}
 	return st
 }

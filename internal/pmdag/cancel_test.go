@@ -23,32 +23,35 @@ func cancelTestProblem(t *testing.T, seed uint64) *match.Problem {
 	return &match.Problem{G: g, H: graph.Cycle(4), ND: nd}
 }
 
-// TestEmissionParityAcrossParEngines: with no cancellation, the
-// state-emission counter (the Lemma 3.1 work measure) is deterministic
-// — identical across the pool and semaphore par engines, and identical
-// with an unfired token attached.
-func TestEmissionParityAcrossParEngines(t *testing.T) {
+// TestEmissionParityAcrossParallelism: with no cancellation, the
+// state-emission counter (the Lemma 3.1 work measure) and Found are
+// functions of the problem alone — identical at every worker count of
+// the par runtime, and identical with an unfired token attached.
+func TestEmissionParityAcrossParallelism(t *testing.T) {
 	p := cancelTestProblem(t, 31)
+	defer par.SetParallelism(0)
 
-	par.SetEngine(par.EnginePool)
-	engPool, _ := Run(p, nil)
-
-	par.SetEngine(par.EngineSemaphore)
-	engSem, _ := Run(p, nil)
-	par.SetEngine(par.EnginePool)
+	par.SetParallelism(1)
+	ref, _ := Run(p, nil)
+	for _, procs := range []int{2, 4} {
+		par.SetParallelism(procs)
+		eng, _ := Run(p, nil)
+		if a, b := ref.StatesGenerated(), eng.StatesGenerated(); a != b {
+			t.Fatalf("emissions depend on parallelism: P=1 %d, P=%d %d", a, procs, b)
+		}
+		if ref.Found() != eng.Found() {
+			t.Fatalf("Found depends on parallelism: P=1 %v, P=%d %v", ref.Found(), procs, eng.Found())
+		}
+	}
 
 	pt := *p
 	pt.Cancel = par.NewCanceller() // never fired
-	engTok, _ := Run(&pt, nil)
-
-	if a, b := engPool.StatesGenerated(), engSem.StatesGenerated(); a != b {
-		t.Fatalf("emission parity broken across par engines: pool=%d semaphore=%d", a, b)
-	}
-	if a, b := engPool.StatesGenerated(), engTok.StatesGenerated(); a != b {
+	tok, _ := Run(&pt, nil)
+	if a, b := ref.StatesGenerated(), tok.StatesGenerated(); a != b {
 		t.Fatalf("unfired token changed emissions: %d vs %d", a, b)
 	}
-	if engPool.Found() != engSem.Found() || engPool.Found() != engTok.Found() {
-		t.Fatal("engines disagree on Found")
+	if ref.Found() != tok.Found() {
+		t.Fatal("unfired token changed Found")
 	}
 }
 

@@ -2,8 +2,8 @@ package serve_test
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -302,23 +302,15 @@ func TestTraceEndToEnd(t *testing.T) {
 }
 
 // TestSlowQueryLog checks the -slow-query hook: with a zero-distance
-// threshold every request logs, and a traced slow request's line names
+// threshold every request logs, and a traced slow request's record names
 // its slowest bands.
 func TestSlowQueryLog(t *testing.T) {
-	// The log fires after the handler has already written the response,
-	// so the client can return before it runs: deliver lines through a
-	// buffered channel and wait for one.
-	logged := make(chan string, 4)
+	var logged serve.SyncBuffer
 	s := serve.New(serve.Options{
 		Pipeline:  httpOpt,
 		Scheduler: serve.SchedulerOptions{Window: time.Millisecond},
 		SlowQuery: time.Nanosecond,
-		SlowLogf: func(format string, args ...any) {
-			select {
-			case logged <- fmt.Sprintf(format, args...):
-			default:
-			}
-		},
+		Logger:    slog.New(slog.NewTextHandler(&logged, nil)),
 	})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -329,16 +321,23 @@ func TestSlowQueryLog(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/decide?trace=1", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("decide: %d: %s", resp.StatusCode, body)
 	}
+	// The record is written after the handler has sent the response, so
+	// the client can return first: wait for it.
 	var line string
-	select {
-	case line = <-logged:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no slow-query log line")
+	for deadline := time.Now().Add(5 * time.Second); line == ""; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no slow-query log record")
+		}
+		for _, l := range strings.Split(logged.String(), "\n") {
+			if strings.Contains(l, "serve: slow query") {
+				line = l
+			}
+		}
 	}
 	if !strings.Contains(line, "endpoint=decide") {
-		t.Errorf("slow log line %q lacks the endpoint", line)
+		t.Errorf("slow log record %q lacks the endpoint", line)
 	}
-	if !strings.Contains(line, "slowest bands:") {
-		t.Errorf("traced slow log line %q lacks band detail", line)
+	if !strings.Contains(line, "slowestBands=") {
+		t.Errorf("traced slow log record %q lacks band detail", line)
 	}
 }

@@ -6,10 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -156,17 +158,12 @@ func decideBody(t *testing.T, graphName string, h *graph.Graph) *bytes.Reader {
 // successful probe closes the circuit again.
 func TestBreakerHTTPEndToEnd(t *testing.T) {
 	defer fault.Disable()
-	var logged bytes.Buffer
-	var logMu sync.Mutex
+	var logged SyncBuffer
 	s := New(Options{
 		Pipeline:  core.Options{Seed: 1, MaxRuns: 2},
 		Scheduler: SchedulerOptions{Window: WindowDisabled},
 		Breaker:   BreakerOptions{Threshold: 2, Cooldown: 100 * time.Millisecond},
-		IncidentLogf: func(format string, args ...any) {
-			logMu.Lock()
-			fmt.Fprintf(&logged, format+"\n", args...)
-			logMu.Unlock()
-		},
+		Logger:    slog.New(slog.NewTextHandler(&logged, nil)),
 	})
 	if _, err := s.Registry().Register("grid", graph.Grid(4, 4), false); err != nil {
 		t.Fatal(err)
@@ -198,11 +195,9 @@ func TestBreakerHTTPEndToEnd(t *testing.T) {
 			t.Fatalf("faulted query %d: no incident id in %+v", i, body)
 		}
 	}
-	logMu.Lock()
-	if !bytes.Contains(logged.Bytes(), []byte("query panic")) {
-		t.Fatalf("incident log missing panic detail:\n%s", logged.String())
+	if log := logged.String(); !strings.Contains(log, "msg=\"serve: incident\"") || !strings.Contains(log, "panic=") {
+		t.Fatalf("incident log missing panic detail:\n%s", log)
 	}
-	logMu.Unlock()
 
 	// Circuit open: fast 503 with a Retry-After hint.
 	resp, _ := post()

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"sync"
@@ -12,6 +13,26 @@ import (
 )
 
 var testOpt = core.Options{Seed: 7, MaxRuns: 4}
+
+// SyncBuffer is a mutex-guarded bytes.Buffer for the tests of both
+// serve packages: log and trace sinks are written from handler
+// goroutines while the test reads them.
+type SyncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *SyncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *SyncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
 
 // TestSchedulerCoalesces proves the micro-batching contract: requests
 // arriving together are served by fewer Scan batches than requests, and

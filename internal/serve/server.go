@@ -42,18 +42,11 @@ type Options struct {
 	// log line includes its slowest band spans and DP cost totals. 0
 	// disables the log.
 	SlowQuery time.Duration
-	// SlowLogf receives slow-query log lines; nil means structured
-	// logging through Logger.
-	SlowLogf func(format string, args ...any)
 	// Breaker configures the per-(graph, kind) circuit breakers; a zero
 	// Threshold disables them.
 	Breaker BreakerOptions
-	// IncidentLogf receives incident log lines (query panics with their
-	// stacks); nil means structured logging through Logger.
-	IncidentLogf func(format string, args ...any)
 	// Logger receives the server's structured log records (slow queries,
-	// incidents); nil means slog.Default(). The SlowLogf/IncidentLogf
-	// hooks, when set, override it for their respective records.
+	// incidents); nil means slog.Default().
 	Logger *slog.Logger
 	// TraceLog, when non-nil, receives one JSON line per instrumented
 	// request: request id, trace id, endpoint, status, duration — plus

@@ -298,7 +298,7 @@ func TestIntrospectionMetricFamilies(t *testing.T) {
 // JSONL record; traced requests carry spans and cost, untraced ones
 // stay lean, and the request ids match the response headers.
 func TestTraceLogJSONL(t *testing.T) {
-	var sink syncBuffer
+	var sink serve.SyncBuffer
 	s := serve.New(serve.Options{
 		Pipeline:  core.Options{Seed: 7, MaxRuns: 4},
 		Scheduler: serve.SchedulerOptions{Window: time.Millisecond},
@@ -347,25 +347,6 @@ func TestTraceLogJSONL(t *testing.T) {
 	if traced.Spans == nil || traced.Cost == nil {
 		t.Fatalf("traced record lacks spans/cost: %s", lines[1])
 	}
-}
-
-// syncBuffer is a mutex-guarded bytes.Buffer (the server serializes
-// TraceLog writes, but the test reads concurrently with Close paths).
-type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }
 
 // sampleLine returns the exposition line whose name{labels} prefix
